@@ -14,12 +14,11 @@
 
 use std::cell::RefCell;
 use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use warped_bench::{exit_usage, ArgError};
+use warped_bench::{exit_usage, write_atomic, ArgError};
 use warped_gates::Technique;
 use warped_gating::GatingParams;
 use warped_power::{EnergyTimeline, PowerParams};
@@ -153,14 +152,6 @@ fn parse_args(args: &[String]) -> Result<Config, ArgError> {
         epoch_len,
         mem_hierarchy,
     })
-}
-
-/// Writes via a sibling temp file + rename, so a crash never leaves a
-/// truncated artifact behind.
-fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
 }
 
 fn main() -> ExitCode {

@@ -18,7 +18,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use warped_bench::{exit_usage, ArgError};
+use warped_bench::{exit_usage, write_atomic, ArgError};
 use warped_gates::{Experiment, Technique};
 use warped_trace::{capture, parse_str, CaptureSpec};
 use warped_workloads::Benchmark;
@@ -159,9 +159,7 @@ fn main() -> ExitCode {
         }
 
         let path = args.out.join(format!("{}.wgt1", spec.name));
-        let tmp = path.with_extension("wgt1.tmp");
-        let write = std::fs::write(&tmp, &text).and_then(|()| std::fs::rename(&tmp, &path));
-        match write {
+        match write_atomic(&path, &text) {
             Ok(()) => println!(
                 "tracegen: wrote {} ({} bytes, {} instrs{})",
                 path.display(),

@@ -9,12 +9,15 @@
 //! a freshly simulated cell can be diffed against the checked-in grid
 //! without a Python round trip.
 //!
-//! The parser is a small recursive-descent scanner over exactly the
-//! shape `write_json` emits (`title`/`headers`/`rows`, each row a
-//! `label` plus numeric `values`, `null` for non-finite numbers). It
-//! tolerates arbitrary inter-token whitespace but rejects unknown
-//! keys, so drift between writer and reader fails loudly.
+//! The reader is a thin view over the workspace's JSON parser
+//! ([`crate::json`]) plus a shape check against exactly what
+//! `write_json` emits: the keys `title`/`headers`/`rows` in that order,
+//! each row the keys `label`/`values`, one number (or `null` for a
+//! non-finite number) per header. Unknown keys, reordered keys and
+//! ragged rows are rejected, so drift between writer and reader fails
+//! loudly.
 
+use crate::json::{self, JsonValue};
 use std::io;
 use std::path::Path;
 
@@ -47,7 +50,8 @@ pub enum GridError {
     Io(io::Error),
     /// The bytes are not a `write_json` table.
     Parse {
-        /// Byte offset of the failure.
+        /// Byte offset of the failure; 0 when the text is valid JSON
+        /// of the wrong shape.
         offset: usize,
         /// What the parser expected there.
         message: String,
@@ -88,44 +92,42 @@ impl GridTable {
     ///
     /// # Errors
     ///
-    /// Returns [`GridError::Parse`] (with a byte offset) on any
-    /// structural mismatch.
+    /// Returns [`GridError::Parse`] for text that is not JSON (with the
+    /// parser's byte offset) or not the `write_json` table shape,
+    /// including a row whose value count differs from the header count.
     pub fn parse(text: &str) -> Result<Self, GridError> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            pos: 0,
-        };
-        p.token("{")?;
-        p.key("title")?;
-        let title = p.string()?;
-        p.token(",")?;
-        p.key("headers")?;
-        let headers = p.string_array()?;
-        p.token(",")?;
-        p.key("rows")?;
-        p.token("[")?;
-        let mut rows = Vec::new();
-        if !p.try_token("]") {
-            loop {
-                p.token("{")?;
-                p.key("label")?;
-                let label = p.string()?;
-                p.token(",")?;
-                p.key("values")?;
-                let values = p.number_array()?;
-                p.token("}")?;
-                rows.push(GridRow { label, values });
-                if !p.try_token(",") {
-                    break;
+        let doc = json::parse(text).map_err(|e| GridError::Parse {
+            offset: e.offset,
+            message: e.message,
+        })?;
+        let [title, headers, rows] = members(&doc, ["title", "headers", "rows"], "the table")?;
+        let title = string(title)?;
+        let headers = array(headers)?
+            .iter()
+            .map(string)
+            .collect::<Result<Vec<_>, _>>()?;
+        let rows = array(rows)?
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let [label, values] = members(row, ["label", "values"], "a row")?;
+                let values = array(values)?
+                    .iter()
+                    .map(number)
+                    .collect::<Result<Vec<_>, _>>()?;
+                if values.len() != headers.len() {
+                    return Err(shape(format!(
+                        "row {i} has {} values for {} headers",
+                        values.len(),
+                        headers.len()
+                    )));
                 }
-            }
-            p.token("]")?;
-        }
-        p.token("}")?;
-        p.ws();
-        if p.pos != p.b.len() {
-            return Err(p.err("trailing bytes after the table"));
-        }
+                Ok(GridRow {
+                    label: string(label)?,
+                    values,
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(GridTable {
             title,
             headers,
@@ -147,165 +149,50 @@ impl GridTable {
     }
 }
 
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
+fn shape(message: impl Into<String>) -> GridError {
+    GridError::Parse {
+        offset: 0,
+        message: message.into(),
+    }
 }
 
-impl Parser<'_> {
-    fn err(&self, message: impl Into<String>) -> GridError {
-        GridError::Parse {
-            offset: self.pos,
-            message: message.into(),
+/// The member values of an object whose keys are exactly `keys`, in
+/// that order.
+fn members<'a, const N: usize>(
+    value: &'a JsonValue,
+    keys: [&str; N],
+    what: &str,
+) -> Result<[&'a JsonValue; N], GridError> {
+    match value {
+        JsonValue::Obj(m) if m.iter().map(|(k, _)| k.as_str()).eq(keys) => {
+            Ok(std::array::from_fn(|i| &m[i].1))
         }
+        _ => Err(shape(format!(
+            "{what} must be an object with keys {keys:?}"
+        ))),
     }
+}
 
-    fn ws(&mut self) {
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
+fn array(value: &JsonValue) -> Result<&[JsonValue], GridError> {
+    match value {
+        JsonValue::Arr(items) => Ok(items),
+        _ => Err(shape("expected an array")),
     }
+}
 
-    /// Consumes a literal token (after whitespace) or errors.
-    fn token(&mut self, t: &str) -> Result<(), GridError> {
-        if self.try_token(t) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{t}'")))
-        }
-    }
+fn string(value: &JsonValue) -> Result<String, GridError> {
+    value
+        .as_str()
+        .map(str::to_owned)
+        .ok_or_else(|| shape("expected a string"))
+}
 
-    /// Consumes a literal token (after whitespace) if present.
-    fn try_token(&mut self, t: &str) -> bool {
-        self.ws();
-        if self.b[self.pos..].starts_with(t.as_bytes()) {
-            self.pos += t.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Consumes `"name":`.
-    fn key(&mut self, name: &str) -> Result<(), GridError> {
-        let got = self.string()?;
-        if got != name {
-            return Err(self.err(format!("expected key \"{name}\", found \"{got}\"")));
-        }
-        self.token(":")
-    }
-
-    /// Consumes a JSON string, decoding the escapes `write_json` emits
-    /// (`\"`, `\\`, `\uXXXX`) plus the standard short forms.
-    fn string(&mut self) -> Result<String, GridError> {
-        self.token("\"")?;
-        let mut out = String::new();
-        loop {
-            let c = *self
-                .b
-                .get(self.pos)
-                .ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self
-                        .b
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("surrogate \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-borrow the original UTF-8 for multi-byte chars.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.b.len() && (self.b[end] & 0xc0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.b[start..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    /// Consumes a JSON number or `null` (→ NaN).
-    fn number(&mut self) -> Result<f64, GridError> {
-        if self.try_token("null") {
-            return Ok(f64::NAN);
-        }
-        self.ws();
-        let start = self.pos;
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("expected a number or null"))
-    }
-
-    fn string_array(&mut self) -> Result<Vec<String>, GridError> {
-        self.array(Parser::string)
-    }
-
-    fn number_array(&mut self) -> Result<Vec<f64>, GridError> {
-        self.array(Parser::number)
-    }
-
-    fn array<T>(
-        &mut self,
-        mut elem: impl FnMut(&mut Self) -> Result<T, GridError>,
-    ) -> Result<Vec<T>, GridError> {
-        self.token("[")?;
-        let mut out = Vec::new();
-        if self.try_token("]") {
-            return Ok(out);
-        }
-        loop {
-            out.push(elem(self)?);
-            if !self.try_token(",") {
-                break;
-            }
-        }
-        self.token("]")?;
-        Ok(out)
+/// A number, or `null` (how `write_json` spells a non-finite one) as NaN.
+fn number(value: &JsonValue) -> Result<f64, GridError> {
+    match value {
+        JsonValue::Null => Ok(f64::NAN),
+        JsonValue::Num(n) => Ok(*n),
+        _ => Err(shape("expected a number or null")),
     }
 }
 
@@ -375,6 +262,22 @@ mod tests {
             match GridTable::parse(bad) {
                 Err(GridError::Parse { .. }) => {}
                 other => panic!("{bad:?} should fail to parse, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_ragged_rows() {
+        for values in ["[1]", "[1,2,3]", "[]"] {
+            let text = format!(
+                "{{\"title\":\"x\",\"headers\":[\"a\",\"b\"],\
+                 \"rows\":[{{\"label\":\"r\",\"values\":{values}}}]}}"
+            );
+            match GridTable::parse(&text) {
+                Err(GridError::Parse { message, .. }) => {
+                    assert!(message.contains("2 headers"), "{message}");
+                }
+                other => panic!("{values} should be ragged, got {other:?}"),
             }
         }
     }

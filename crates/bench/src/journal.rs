@@ -7,11 +7,16 @@
 //! corruption an append-only writer can suffer — simply fails to parse
 //! and the cell it described re-runs on resume.
 //!
+//! Each line is read back through the workspace's JSON parser
+//! ([`crate::json`]) and four field reads; anything that is not a
+//! complete object with those fields is `None`, never a panic.
+//!
 //! Entries are keyed by the cell's global grid index *and* its label;
 //! [`load`] drops any entry whose label disagrees with the caller's
 //! expectation, which protects against resuming a journal written at a
 //! different scale or against a different grid shape.
 
+use crate::json::{self, JsonValue};
 use std::io::Write as _;
 use std::path::Path;
 
@@ -28,75 +33,6 @@ pub struct JournalEntry {
     pub ff_cycles: u64,
 }
 
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Pulls `"key":<number>` out of a JSONL line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-/// Pulls `"key":"<escaped string>"` out of a JSONL line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    // Find the closing quote, skipping escaped ones.
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return unescape(&rest[..i]);
-        }
-    }
-    None
-}
-
 impl JournalEntry {
     /// Renders the entry as one JSONL line (no trailing newline).
     #[must_use]
@@ -104,7 +40,7 @@ impl JournalEntry {
         format!(
             "{{\"index\":{},\"label\":\"{}\",\"cycles\":{},\"ff_cycles\":{}}}",
             self.index,
-            escape(&self.label),
+            json::escape(&self.label),
             self.cycles,
             self.ff_cycles
         )
@@ -113,15 +49,13 @@ impl JournalEntry {
     /// Parses one journal line; `None` for torn or malformed lines.
     #[must_use]
     pub fn parse(line: &str) -> Option<JournalEntry> {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return None;
-        }
+        let doc = json::parse(line).ok()?;
+        let count = |key| doc.get(key).and_then(JsonValue::as_u64);
         Some(JournalEntry {
-            index: usize::try_from(field_u64(line, "index")?).ok()?,
-            label: field_str(line, "label")?,
-            cycles: field_u64(line, "cycles")?,
-            ff_cycles: field_u64(line, "ff_cycles")?,
+            index: usize::try_from(count("index")?).ok()?,
+            label: doc.get("label")?.as_str()?.to_owned(),
+            cycles: count("cycles")?,
+            ff_cycles: count("ff_cycles")?,
         })
     }
 

@@ -7,14 +7,17 @@
 //! `src/bin/` that re-runs the corresponding experiment and prints the
 //! same rows/series the paper plots (see `DESIGN.md` §4 for the index).
 //! This library hosts the pieces they share: a fixed-width table
-//! printer, a scale-factor argument parser, and a cached runner over the
-//! benchmark × technique grid.
+//! printer, a scale-factor argument parser, a cached runner over the
+//! benchmark × technique grid, the atomic artifact writer, and the
+//! workspace's one JSON reader ([`json`]) that loads those artifacts
+//! back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod grid;
 pub mod journal;
+pub mod json;
 pub mod sweep;
 pub mod timing;
 
@@ -172,9 +175,8 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[(String, Vec<f64>)]) {
 /// The format is deliberately simple:
 /// `{"title": ..., "headers": [...], "rows": [{"label": ..., "values": [...]}]}`.
 ///
-/// The write is atomic: the table lands in `<slug>.json.tmp` first and
-/// is renamed into place, so a crash mid-write never leaves a truncated
-/// `<slug>.json` behind.
+/// The write goes through [`write_atomic`], so a crash mid-write never
+/// leaves a truncated `<slug>.json` behind.
 ///
 /// # Errors
 ///
@@ -186,18 +188,8 @@ pub fn write_json(
     headers: &[&str],
     rows: &[(String, Vec<f64>)],
 ) -> std::io::Result<()> {
+    use json::escape;
     use std::fmt::Write as _;
-
-    fn escape(s: &str) -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    }
 
     fn num(v: f64) -> String {
         if v.is_finite() {
@@ -248,9 +240,25 @@ pub fn write_json(
 
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!("{slug}.json.tmp"));
-    std::fs::write(&tmp, out)?;
-    std::fs::rename(&tmp, dir.join(format!("{slug}.json")))
+    write_atomic(dir.join(format!("{slug}.json")), out)
+}
+
+/// Writes an artifact atomically: the bytes land in a sibling
+/// `<name>.tmp` first and are renamed into place, so a reader (or a
+/// crash) never sees a truncated file.
+///
+/// # Errors
+///
+/// Returns any I/O error from the write or the rename.
+pub fn write_atomic(
+    path: impl AsRef<std::path::Path>,
+    bytes: impl AsRef<[u8]>,
+) -> std::io::Result<()> {
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// A cached grid of runs over the 18 benchmarks and the requested

@@ -15,8 +15,9 @@
 //! Degraded cells are deliberately *not* journaled: on resume they run
 //! again, so a transient failure heals itself.
 
+use crate::grid::GridTable;
 use crate::journal::{self, JournalEntry};
-use crate::write_json;
+use crate::{json, write_atomic, write_json};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -152,28 +153,13 @@ pub fn wall_path(out_dir: &Path) -> PathBuf {
 /// totals measured under the others. Missing or malformed files read
 /// as empty — wall numbers are diagnostics, never inputs.
 fn read_wall_totals(path: &Path) -> Vec<(String, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut rest = text.as_str();
-    while let Some(p) = rest.find("{\"label\":\"") {
-        rest = &rest[p + 10..];
-        let Some(q) = rest.find('"') else { break };
-        let label = rest[..q].to_owned();
-        rest = &rest[q..];
-        let Some(v) = rest.find("\"values\":[") else {
-            break;
-        };
-        rest = &rest[v + 10..];
-        let end = rest.find([',', ']']).unwrap_or(rest.len());
-        if label.starts_with("TOTAL/") {
-            if let Ok(secs) = rest[..end].parse::<f64>() {
-                out.push((label, secs));
-            }
-        }
-    }
-    out
+    GridTable::load(path)
+        .ok()
+        .into_iter()
+        .flat_map(|table| table.rows)
+        .filter(|row| row.label.starts_with("TOTAL/"))
+        .filter_map(|row| Some((row.label, *row.values.first()?)))
+        .collect()
 }
 
 /// Runs the full 18 × 6 grid under `config`.
@@ -511,9 +497,7 @@ pub fn trace_cell(config: &SweepConfig, index: usize) -> std::io::Result<PathBuf
 
     std::fs::create_dir_all(&config.out_dir)?;
     let path = trace_path(&config.out_dir, index);
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, trace)?;
-    std::fs::rename(&tmp, &path)?;
+    write_atomic(&path, trace)?;
     if !config.quiet {
         eprintln!(
             "sweep: traced cell {index} ({label}), {} cycles, {} events",
@@ -524,19 +508,8 @@ pub fn trace_cell(config: &SweepConfig, index: usize) -> std::io::Result<PathBuf
     Ok(path)
 }
 
-/// Writes the failure manifest atomically (temp file + rename).
+/// Writes the failure manifest atomically.
 fn write_manifest(path: &Path, failures: &[CellFailure]) -> std::io::Result<()> {
-    fn escape(s: &str) -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    }
-
     let mut out = String::from("{\"failures\":[");
     for (i, f) in failures.iter().enumerate() {
         if i > 0 {
@@ -545,14 +518,12 @@ fn write_manifest(path: &Path, failures: &[CellFailure]) -> std::io::Result<()> 
         out.push_str(&format!(
             "{{\"index\":{},\"label\":\"{}\",\"reason\":\"{}\"}}",
             f.index,
-            escape(&f.label),
-            escape(&f.reason)
+            json::escape(&f.label),
+            json::escape(&f.reason)
         ));
     }
     out.push_str("]}\n");
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, out)?;
-    std::fs::rename(&tmp, path)
+    write_atomic(path, out)
 }
 
 #[cfg(test)]

@@ -14,7 +14,9 @@
 //!
 //! Layering, transport-independent at the core:
 //!
-//! * [`json`] — a bounded JSON value parser for request bodies.
+//! * [`json`] — the bounded JSON value parser for request bodies,
+//!   re-exported from `warped-bench` (the same reader loads grid
+//!   tables and sweep journals).
 //! * [`http`] — HTTP/1.1 framing (requests, responses, keep-alive
 //!   rules, chunked bodies).
 //! * [`cache`] — the sharded single-flight LRU result cache.
@@ -42,10 +44,13 @@ pub mod client;
 pub mod cluster;
 pub mod disk;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod server;
 pub mod service;
+
+/// The workspace's JSON reader and escaper, re-exported from
+/// [`warped_bench::json`] where the artifact readers share it.
+pub use warped_bench::json;
 
 pub use server::{spawn, ServerConfig, ServerHandle};
 pub use service::{Handled, Service, ServiceConfig};

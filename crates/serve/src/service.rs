@@ -18,8 +18,8 @@
 //!   results stream back as chunked JSONL in **completion order**, so
 //!   overlapping batches dedupe work and the client sees the first
 //!   result before the last cell has even started.
-//! * `GET /grid` — the committed `bench_grid.json`
-//!   (`?regenerate=1&scale=<f>` re-sweeps it first).
+//! * `GET /grid` — the committed `bench_grid.json`, validated before
+//!   it is served.
 //! * `GET /trace?cell=<i>` — replay one grid cell with telemetry and
 //!   stream its Perfetto trace (`&format=rollup` for per-epoch JSONL)
 //!   with chunked transfer encoding.
@@ -40,11 +40,10 @@ use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use warped_bench::grid::GridTable;
-use warped_bench::sweep::{self, SweepConfig};
 use warped_gates::fingerprint::{cell_fingerprint, trace_cell_fingerprint};
 use warped_gates::{runner, Experiment, Technique, TechniqueRun};
 use warped_gating::GatingParams;
@@ -123,8 +122,6 @@ pub struct Service {
     pub disk: Option<DiskCache>,
     /// Service counters.
     pub metrics: Metrics,
-    /// Serialises `/grid?regenerate=1` sweeps (they share an out-dir).
-    regen: Mutex<()>,
     /// The cluster view when cluster mode is armed (set once, either
     /// from the config or via [`Service::arm_cluster`]).
     cluster: OnceLock<Cluster>,
@@ -475,7 +472,6 @@ impl Service {
             cache: ResultCache::new(shards, config.cache_bytes),
             disk,
             metrics,
-            regen: Mutex::new(()),
             cluster: OnceLock::new(),
             chaos: AtomicU8::new(0),
             traces,
@@ -605,7 +601,7 @@ impl Service {
                 Handled::Normal
             }
             ("GET", "/grid") => {
-                self.grid(req, out, keep_alive)?;
+                self.grid(out, keep_alive)?;
                 Handled::Normal
             }
             ("GET", "/trace") => {
@@ -996,56 +992,8 @@ impl Service {
         )
     }
 
-    /// `GET /grid`: the committed sweep table, optionally regenerated.
-    fn grid(&self, req: &Request, out: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
-        if req.query_param("regenerate") == Some("1") {
-            let scale = match req.query_param("scale").map(str::parse::<f64>) {
-                None => 1.0,
-                Some(Ok(s)) if s > 0.0 && s <= 1.0 => s,
-                _ => {
-                    return self.respond(
-                        out,
-                        400,
-                        "application/json",
-                        &error_body("bad_request", "\"scale\" must be a number in (0,1]"),
-                        keep_alive,
-                    );
-                }
-            };
-            let out_dir = self
-                .config
-                .grid_path
-                .parent()
-                .map_or_else(|| PathBuf::from("."), PathBuf::from);
-            let _serialised = self.regen.lock().expect("regen lock poisoned");
-            let mut sweep_config = SweepConfig::new(out_dir, worker_count());
-            sweep_config.scale = scale;
-            sweep_config.quiet = true;
-            match sweep::run(&sweep_config) {
-                Ok(summary) if summary.ok() => {}
-                Ok(summary) => {
-                    return self.respond(
-                        out,
-                        500,
-                        "application/json",
-                        &error_body(
-                            "sweep_failed",
-                            &format!("{} grid cells failed", summary.failures.len()),
-                        ),
-                        keep_alive,
-                    );
-                }
-                Err(e) => {
-                    return self.respond(
-                        out,
-                        500,
-                        "application/json",
-                        &error_body("io", &e.to_string()),
-                        keep_alive,
-                    );
-                }
-            }
-        }
+    /// `GET /grid`: the committed sweep table.
+    fn grid(&self, out: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
         match std::fs::read(&self.config.grid_path) {
             Ok(bytes) => {
                 // Validate before serving: a torn or foreign file must
@@ -1068,7 +1016,7 @@ impl Service {
                 &error_body(
                     "no_grid",
                     &format!(
-                        "{} not found; POST /grid?regenerate=1 or run the sweep binary",
+                        "{} not found; run the sweep binary to write it",
                         self.config.grid_path.display()
                     ),
                 ),
@@ -1129,7 +1077,7 @@ impl Service {
         }
 
         let (spec, technique) = &jobs[cell];
-        let label = sweep::cell_label(&jobs[cell]);
+        let label = format!("{}/{}", spec.name, technique.name());
         let recorder = Recorder::new(RecorderConfig {
             capacity: 1 << 20,
             epoch_len: 1000,
@@ -1688,6 +1636,27 @@ mod tests {
             assert_eq!(status, 200);
             assert!(body.contains("\"title\":\"bench grid\""));
         }
+    }
+
+    #[test]
+    fn ragged_grid_answers_bad_grid() {
+        let dir = std::env::temp_dir().join(format!("warped_serve_ragged_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bench_grid.json");
+        std::fs::write(
+            &path,
+            "{\"title\":\"bench grid\",\"headers\":[\"cycles\",\"ff_cycles\"],\
+             \"rows\":[{\"label\":\"nw/Baseline\",\"values\":[130559]}]}\n",
+        )
+        .unwrap();
+        let service = Service::new(ServiceConfig {
+            grid_path: path,
+            ..ServiceConfig::default()
+        });
+        let (status, body, _) = dispatch(&service, &get("/grid"));
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("bad_grid"), "{body}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Writes a small captured corpus (one pre-scaled nw trace plus
